@@ -65,11 +65,8 @@ class FibrationPlan:
 
 
 def _dedup(words) -> tuple[Word, ...]:
-    out: list[Word] = []
-    for w in words:
-        if w not in out:
-            out.append(w)
-    return tuple(out)
+    """The words in first-seen order, each once."""
+    return tuple(dict.fromkeys(words))
 
 
 def base_plan(genus: int) -> FibrationPlan:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .snf import smith_normal_form
 from .words import (
@@ -20,6 +20,7 @@ from .words import (
     format_word,
     is_valid_name,
     parse_word,
+    substitute,
 )
 
 DEFAULT_BUDGET = 10_000
@@ -84,11 +85,9 @@ def parse_presentation(text: str) -> Presentation:
 
 
 def format_presentation(p: Presentation) -> str:
-    names = ", ".join(p.generators)
+    head = f"< {', '.join(p.generators)} |" if p.generators else "< |"
     rels = ", ".join(p.relator_texts())
-    if rels:
-        return f"< {names} | {rels} >".replace("<  |", "< |")
-    return f"< {names} | >".replace("<  |", "< |")
+    return f"{head} {rels} >" if rels else f"{head} >"
 
 
 def same_presentation(p: Presentation, q: Presentation) -> bool:
@@ -152,6 +151,18 @@ def generator_lower_bound(p: Presentation) -> int:
 
 # ---------------------------------------------------------------------------
 # Tietze simplification
+#
+# One call keeps its relators in a _TietzeState.  Generators keep their
+# input indices until the loop ends, and the survivors are renumbered once.
+# That renaming is monotone, so every comparison on the way (the pin order
+# and the order of cyclic normal forms) decides as it would on renumbered
+# words.  An occurrence index maps each generator to the relators that
+# hold it, so an elimination rewrites only those relators; each relator's
+# pin key and normal form are cached and recomputed only when it changes.
+# The images of the input generators are built once, at the end, by
+# back-substituting the recorded replacements in reverse elimination order;
+# substitution composes and free reduction is canonical, so these are the
+# words that substituting into every image on every pass would give.
 
 
 @dataclass
@@ -164,87 +175,121 @@ class TietzeResult:
 
     def image_of(self, w: Word) -> Word:
         """Push a word over the original generators into the simplified ones."""
-        from .words import substitute
-
         table = {
             i + 1: self.images[name] for i, name in enumerate(self.original_generators)
         }
         return substitute(w, table)
 
 
-def _normalize(rels: list[Word]) -> tuple[list[Word], bool]:
-    changed = False
-    out: list[Word] = []
-    seen: set[tuple[int, ...]] = set()
-    for r in rels:
-        c = cyclic_reduce(r)
-        if c != r:
-            changed = True
-        if c.is_identity:
-            changed = True
-            continue
-        key = cyclic_normal_form(c)
-        if key in seen:
-            changed = True
-            continue
-        seen.add(key)
-        out.append(c)
-    return out, changed
+class _TietzeState:
+    """The relators of one simplification, keyed by their input position.
 
-
-def _find_pinned(rels: list[Word]) -> tuple[int, int] | None:
-    """Best (relator index, generator) where the relator pins the generator.
-
-    A relator pins a generator when that generator occurs in exactly one
-    syllable, with exponent +-1; the relator then rewrites it as a word in
-    the remaining generators.  Shorter relators are preferred, and on ties
-    the highest-index generator is eliminated so that low-index generators
-    survive.
+    Every stored relator is cyclically reduced, is not the identity, and is
+    the only one with its cyclic normal form: of two relators that share a
+    form the lower position stays, as a pass over the list in order keeps
+    the first.  A relator pins a generator that occurs in exactly one of
+    its syllables, with exponent +-1; the relator then rewrites that
+    generator as a word in the others.  Its pin key ``(length, -generator,
+    position)`` names the highest such generator, so the least key over
+    all relators picks the shortest relator and, on ties, the
+    highest-index generator, keeping low-index generators alive.
     """
-    best: tuple[int, int, int, int] | None = None  # (len, -gen, rel_idx, gen)
-    for ri, r in enumerate(rels):
-        counts: Counter[int] = Counter(g for g, _ in r)
-        for g, e in r:
-            if counts[g] == 1 and abs(e) == 1:
-                key = (len(r), -g, ri, g)
-                if best is None or key < best:
-                    best = key
-    if best is None:
-        return None
-    return best[2], best[3]
+
+    def __init__(self, relators: Sequence[Word], rank: int):
+        self.words: dict[int, Word] = {}
+        self.forms: dict[int, tuple[int, ...]] = {}
+        self.holder: dict[tuple[int, ...], int] = {}
+        self.pins: dict[int, tuple[int, int, int]] = {}
+        self.occurs: dict[int, set[int]] = {g: set() for g in range(1, rank + 1)}
+        self.replacements: list[tuple[int, Word]] = []
+        for ri, r in enumerate(relators):
+            self._settle(ri, r)
+
+    def _settle(self, ri: int, w: Word) -> None:
+        c = cyclic_reduce(w)
+        if c.is_identity:
+            return
+        form = cyclic_normal_form(c)
+        other = self.holder.get(form)
+        if other is not None:
+            if other < ri:
+                return
+            self._detach(other)
+        self.words[ri] = c
+        self.forms[ri] = form
+        self.holder[form] = ri
+        counts = Counter(g for g, _ in c.syllables)
+        for g in counts:
+            self.occurs[g].add(ri)
+        pinned = [g for g, e in c.syllables if counts[g] == 1 and abs(e) == 1]
+        if pinned:
+            self.pins[ri] = (sum(abs(e) for _, e in c.syllables), -max(pinned), ri)
+
+    def _detach(self, ri: int) -> Word:
+        w = self.words.pop(ri)
+        del self.holder[self.forms.pop(ri)]
+        self.pins.pop(ri, None)
+        for g, _ in w.syllables:
+            self.occurs[g].discard(ri)
+        return w
+
+    def eliminate_pinned(self) -> bool:
+        """Eliminate the generator of the least pin key, if any relator pins one."""
+        if not self.pins:
+            return False
+        _, neg_gen, ri = min(self.pins.values())
+        gen = -neg_gen
+        r = self._detach(ri)
+        pos = next(i for i, (g, _) in enumerate(r.syllables) if g == gen)
+        rotated = r.syllables[pos:] + r.syllables[:pos]
+        rest = Word(rotated[1:])
+        replacement = ~rest if rotated[0][1] == 1 else rest
+        inverse = ~replacement
+        touched = sorted(self.occurs[gen])
+        for i, w in [(i, self._detach(i)) for i in touched]:
+            pieces: list[tuple[int, int]] = []
+            for g, e in w.syllables:
+                if g != gen:
+                    pieces.append((g, e))
+                else:
+                    pieces.extend((replacement if e > 0 else inverse).syllables * abs(e))
+            self._settle(i, Word(pieces))
+        self.replacements.append((gen, replacement))
+        return True
+
+    def rewrite(self) -> bool:
+        """Shorten one relator by another (see :func:`_rewrite_pass`)."""
+        order = sorted(self.words)
+        rels = [self.words[ri] for ri in order]
+        ti = _rewrite_pass(rels)
+        if ti is None:
+            return False
+        self._detach(order[ti])
+        self._settle(order[ti], rels[ti])
+        return True
+
+    def result(self, p: Presentation, passes: int, exhausted: bool) -> TietzeResult:
+        eliminated = {gen for gen, _ in self.replacements}
+        survivors = [g for g in range(1, p.rank + 1) if g not in eliminated]
+        renumber = {g: k for k, g in enumerate(survivors, 1)}
+        relators = tuple(
+            Word((renumber[g], e) for g, e in self.words[ri].syllables)
+            for ri in sorted(self.words)
+        )
+        table = {g: Word.generator(k) for g, k in renumber.items()}
+        for gen, replacement in reversed(self.replacements):
+            table[gen] = substitute(replacement, table)
+        return TietzeResult(
+            presentation=Presentation(tuple(p.generators[g - 1] for g in survivors), relators),
+            original_generators=p.generators,
+            images={name: table[i] for i, name in enumerate(p.generators, 1)},
+            passes=passes,
+            budget_exhausted=exhausted,
+        )
 
 
-def _eliminate(gens: list[str], rels: list[Word], images: dict[str, Word],
-               ri: int, gen: int) -> None:
-    r = rels[ri]
-    pos = next(i for i, (g, _) in enumerate(r.syllables) if g == gen)
-    rotated = r.syllables[pos:] + r.syllables[:pos]
-    exp = rotated[0][1]
-    rest = Word(rotated[1:])
-    replacement = ~rest if exp == 1 else rest
-
-    def lower(w: Word) -> Word:
-        return Word((g if g < gen else g - 1, e) for g, e in w)
-
-    table = {
-        h: Word.generator(h if h < gen else h - 1)
-        for h in range(1, len(gens) + 1)
-        if h != gen
-    }
-    table[gen] = lower(replacement)
-
-    from .words import substitute
-
-    del rels[ri]
-    for i, w in enumerate(rels):
-        rels[i] = substitute(w, table)
-    for name in images:
-        images[name] = substitute(images[name], table)
-    gens.pop(gen - 1)
-
-
-def _rewrite_pass(rels: list[Word]) -> bool:
-    """Shorten one relator using a cyclic piece of another, if possible.
+def _rewrite_pass(rels: list[Word]) -> int | None:
+    """Shorten one relator using a cyclic piece of another; return its index.
 
     Replacing more than half of a relator s inside a relator t multiplies t
     by a conjugate of a rotation of s, so the normal closure is unchanged
@@ -277,8 +322,8 @@ def _rewrite_pass(rels: list[Word]) -> bool:
                         new = cyclic_reduce(new)
                         if len(new) < len(rels[ti]):
                             rels[ti] = new
-                            return True
-    return False
+                            return ti
+    return None
 
 
 def _find_subsequence(haystack: list[int], needle: list[int], starts: int) -> int | None:
@@ -300,10 +345,7 @@ def tietze_simplify(p: Presentation, budget: int = DEFAULT_BUDGET,
     """
     if budget < 1:
         raise ValueError("budget must be positive")
-    gens = list(p.generators)
-    rels = list(p.relators)
-    images = {name: Word.generator(i + 1) for i, name in enumerate(p.generators)}
-
+    state = _TietzeState(p.relators, p.rank)
     passes = 0
     exhausted = False
     while True:
@@ -311,21 +353,9 @@ def tietze_simplify(p: Presentation, budget: int = DEFAULT_BUDGET,
             exhausted = True
             break
         passes += 1
-        rels, _ = _normalize(rels)
-        found = _find_pinned(rels)
-        if found is not None:
-            _eliminate(gens, rels, images, *found)
+        if state.eliminate_pinned():
             continue
-        if rewrite and _rewrite_pass(rels):
+        if rewrite and state.rewrite():
             continue
         break
-
-    rels, _ = _normalize(rels)
-    simplified = Presentation(tuple(gens), tuple(rels))
-    return TietzeResult(
-        presentation=simplified,
-        original_generators=p.generators,
-        images=images,
-        passes=passes,
-        budget_exhausted=exhausted,
-    )
+    return state.result(p, passes, exhausted)

@@ -48,13 +48,7 @@ class SurfaceGroup:
     @property
     def relator(self) -> Word:
         """b_g^-1 ... b_1^-1 (a_1 b_1 a_1^-1) ... (a_g b_g a_g^-1)."""
-        g = self.genus
-        w = Word()
-        for i in range(g, 0, -1):
-            w = w * self.b(i, -1)
-        for i in range(1, g + 1):
-            w = w * self.a(i) * self.b(i) * self.a(i, -1)
-        return w
+        return self.separating_curve(self.genus)
 
     def presentation_tuple(self) -> tuple[tuple[str, ...], tuple[Word, ...]]:
         return self.generator_names, (self.relator,)
@@ -69,12 +63,14 @@ class SurfaceGroup:
         """
         if not 0 <= i <= self.genus:
             raise ValueError(f"separating curve index {i} out of range 0..{self.genus}")
-        w = Word()
-        for t in range(i, 0, -1):
-            w = w * self.b(t, -1)
+        return Word(self._separating_syllables(i))
+
+    def _separating_syllables(self, i: int) -> list[tuple[int, int]]:
+        g = self.genus
+        pieces = [(g + t, -1) for t in range(i, 0, -1)]
         for t in range(1, i + 1):
-            w = w * self.a(t) * self.b(t) * self.a(t, -1)
-        return w
+            pieces += [(t, 1), (g + t, 1), (t, -1)]
+        return pieces
 
     def chain_curve(self, index: int) -> Word:
         """The chain curve with the given subscript, 0 <= index <= g+1.
@@ -87,16 +83,15 @@ class SurfaceGroup:
         if not 0 <= index <= g + 1:
             raise ValueError(f"chain curve index {index} out of range 0..{g + 1}")
         k, odd = divmod(index, 2)
-
-        def a_or_identity(i: int) -> Word:
-            return Word() if i in (0, g + 1) else self.a(i)
-
-        first = a_or_identity(k + 1 if odd else k)
-        last = a_or_identity(g - k if odd else g - k + 1)
-        w = first
-        for t in range(k + 1, g - k + 1):
-            w = w * self.b(t)
-        return w * self.separating_curve(g - k) * last
+        first = k + 1 if odd else k
+        last = g - k if odd else g - k + 1
+        # Word() reduces the b-run against the b^-1 run that opens c_(g-k)
+        pieces = [(first, 1)] if 1 <= first <= g else []
+        pieces += [(g + t, 1) for t in range(k + 1, g - k + 1)]
+        pieces += self._separating_syllables(g - k)
+        if 1 <= last <= g:
+            pieces.append((last, 1))
+        return Word(pieces)
 
     def middle_curves(self) -> tuple[Word, ...]:
         """Extra twist curves of the trivial word: one separating curve for

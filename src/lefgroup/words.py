@@ -148,6 +148,8 @@ def exponent_sums(w: Word, rank: int) -> tuple[int, ...]:
 
 def cyclic_reduce(w: Word) -> Word:
     """Strip cancelling prefix/suffix pairs; the result is a conjugate of w."""
+    if len(w.syllables) < 2 or w.syllables[0][0] != w.syllables[-1][0]:
+        return w
     syl = list(w.syllables)
     while len(syl) >= 2 and syl[0][0] == syl[-1][0]:
         g = syl[0][0]
@@ -172,10 +174,12 @@ def cyclic_normal_form(w: Word) -> tuple[int, ...]:
         return ()
     inv = [-x for x in reversed(letters)]
     best: tuple[int, ...] | None = None
+    n = len(letters)
     for seq in (letters, inv):
         doubled = seq + seq
-        n = len(seq)
-        for i in range(n):
+        # the least rotation starts at an occurrence of the least letter
+        low = min(seq)
+        for i in [i for i, x in enumerate(seq) if x == low]:
             cand = tuple(doubled[i:i + n])
             if best is None or cand < best:
                 best = cand

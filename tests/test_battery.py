@@ -1,0 +1,63 @@
+import json
+
+import pytest
+
+from lefgroup.battery import invariant_vector, parse_battery
+from lefgroup.presentations import presentation
+
+
+def names(text):
+    return [table.name for table in parse_battery(text)]
+
+
+def test_parse_battery_tokens():
+    assert names("s3") == ["S3"]
+    assert names("S4, z5") == ["S4", "Z5"]
+    # empty tokens and surrounding blanks are skipped
+    assert names(" s3,, z2 , ") == ["S3", "Z2"]
+    assert names("") == []
+
+
+def test_parse_battery_range():
+    assert names("z2..z6") == ["Z2", "Z3", "Z4", "Z5", "Z6"]
+    assert names("s3,z2..z4,z7") == ["S3", "Z2", "Z3", "Z4", "Z7"]
+    assert names("z4..z4") == ["Z4"]
+    assert names("z5..z3") == []
+    tables = parse_battery("z2..z3")
+    assert [t.order for t in tables] == [2, 3]
+
+
+@pytest.mark.parametrize("text", ["q3", "a5", "s3,d4"])
+def test_parse_battery_bad_token(text):
+    with pytest.raises(ValueError, match="bad battery token"):
+        parse_battery(text)
+
+
+@pytest.mark.parametrize("text", ["s2..s4", "z2..s4", "2..6"])
+def test_parse_battery_bad_range(text):
+    with pytest.raises(ValueError, match="bad battery range"):
+        parse_battery(text)
+
+
+def test_invariant_vector_to_dict():
+    vector = invariant_vector(presentation("x", "x^2"), parse_battery("s3,z2..z4"))
+    data = vector.to_dict()
+    assert data == {
+        "abelianization": {"free_rank": 0, "torsion": [2]},
+        # involutions plus the identity: 3 + 1 in S3, 1 + 1 in Z2 and Z4
+        "hom_counts": {"S3": 4, "Z2": 2, "Z3": 1, "Z4": 2},
+        "coset_order": 2,
+    }
+    assert json.loads(json.dumps(data)) == data
+
+
+def test_invariant_vector_to_dict_skipped_and_inconclusive():
+    gens = ",".join(f"x{i}" for i in range(1, 9))
+    vector = invariant_vector(presentation(gens, "x1^2"), parse_battery("s3,z2"),
+                              max_cosets=50)
+    assert vector.to_dict() == {
+        "abelianization": {"free_rank": 7, "torsion": [2]},
+        # 6^8 assignments into S3 exceed the hom-count cap
+        "hom_counts": {"S3": "skipped", "Z2": 256},
+        "coset_order": "inconclusive",
+    }

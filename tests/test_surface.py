@@ -145,3 +145,41 @@ def test_format_matrix():
     s = SurfaceGroup(1)
     text = format_matrix(s.transvection(s.homology_class(s.a(1))))
     assert text == "1 -1\n0 1"
+
+
+def _chained_curves(s: SurfaceGroup) -> tuple[Word, list[Word], list[Word]]:
+    """Relator, separating curves and chain curves grown one product at a time."""
+    g = s.genus
+
+    def separating(i):
+        w = Word()
+        for t in range(i, 0, -1):
+            w = w * s.b(t, -1)
+        for t in range(1, i + 1):
+            w = w * s.a(t) * s.b(t) * s.a(t, -1)
+        return w
+
+    def chain(index):
+        k, odd = divmod(index, 2)
+
+        def a_or_identity(i):
+            return Word() if i in (0, g + 1) else s.a(i)
+
+        w = a_or_identity(k + 1 if odd else k)
+        for t in range(k + 1, g - k + 1):
+            w = w * s.b(t)
+        return w * separating(g - k) * a_or_identity(g - k if odd else g - k + 1)
+
+    return (separating(g), [separating(i) for i in range(g + 1)],
+            [chain(j) for j in range(g + 2)])
+
+
+def test_curve_builders_match_chained_products():
+    for g in range(1, 25):
+        s = SurfaceGroup(g)
+        relator, separating, chain = _chained_curves(s)
+        assert s.relator == relator
+        assert [s.separating_curve(i) for i in range(g + 1)] == separating
+        assert [s.chain_curve(j) for j in range(g + 2)] == chain
+        # the trivial word's cycles list the chain curves from B_g down to B_0
+        assert s.monodromy_cycles()[-(g + 1):] == chain[g::-1]
