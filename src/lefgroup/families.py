@@ -582,8 +582,7 @@ def abelian_interim_plan(n: int, k: int) -> tuple[FibrationPlan, PlanQuotient]:
     its fundamental group is free abelian of rank n + k."""
     if (n + k) % 2 != 0 or n + k < 3:
         raise ValueError("the interim plan exists for even n + k >= 4")
-    plan, _ = abelian_group_plan(n + k, 0)
-    return plan, fundamental_group(plan)
+    return abelian_group_plan(n + k, 0)
 
 
 # ---------------------------------------------------------------------------

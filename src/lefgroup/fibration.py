@@ -1,33 +1,33 @@
 """Monodromy plans of Lefschetz fibrations and their fundamental groups.
 
-A plan records the fiber genus, an ordered list of blocks (each one copy
-of the built-in trivial mapping-class word "W", optionally conjugated by
-a twist about a recorded curve), the accumulated kill list of curve
-words, and the total twist-letter count.  All plans built here admit a
-section, so the fundamental group of the total space is the surface
-group modulo the normal closure of the kill list.
+A plan is the fiber genus plus the monodromy factorization: an ordered
+tuple of blocks, each one copy of the built-in trivial mapping-class word
+W conjugated by a chain of twist curves, outermost first.  The block
+(d, c) stands for t_d t_c W t_c^-1 t_d^-1, and the base block is ().
+Twisting the whole plan P about d appends (d,) + chain for every block,
+which records the factorization t_d P t_d^-1.
 
-Extending a plan by a twist about d appends a conjugated copy of the
-block product and adds the single word d to the kill list; that quotient
-rule is what everything downstream consumes.  Block conjugators of the
-copied tail are kept as they were rather than composed with d, which is
-a flat bookkeeping choice: the kill list and letter counts are exact.
+All plans built here admit a section, so the fundamental group of the
+total space is the surface group modulo the normal closure of the kill
+list.  The kill list and the twist-letter count are read off the blocks:
+the kill list is the twist centers of W followed by every chain curve in
+block order, each once, and every block contributes the letters of W.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
-import random
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .presentations import Presentation, TietzeResult, tietze_simplify
 from .relator_curves import RelatorCurve, a_image, relator_curve
 from .surface import SurfaceGroup
 from .words import Word, cyclic_reduce, format_word, parse_word, syllable_length
 
-BASE_RELATION = "W"
-PLAN_SCHEMA = "lefgroup/plan/1"
+PLAN_SCHEMA = "lefgroup/plan/2"
 
 
 class TransversalityWarning(UserWarning):
@@ -38,51 +38,38 @@ class TransversalityWarning(UserWarning):
     """
 
 
-@dataclass(frozen=True)
-class Block:
-    relation: str
-    conjugator: Word | None
+@functools.cache
+def _base_cycles(genus: int) -> tuple[Word, ...]:
+    """Twist centers of W at this genus; shared by every plan of the genus."""
+    return tuple(SurfaceGroup(genus).monodromy_cycles())
 
 
 @dataclass(frozen=True)
 class FibrationPlan:
     genus: int
-    blocks: tuple[Block, ...]
-    kill_list: tuple[Word, ...]
-    twist_letter_count: int
-    has_section: bool = True
+    blocks: tuple[tuple[Word, ...], ...]
+
+    def __post_init__(self):
+        if self.genus < 1:
+            raise ValueError("genus must be >= 1")
 
     @property
     def surface(self) -> SurfaceGroup:
         return SurfaceGroup(self.genus)
 
-    def conjugator_centers(self) -> tuple[Word, ...]:
-        seen = []
-        for block in self.blocks:
-            if block.conjugator is not None and block.conjugator not in seen:
-                seen.append(block.conjugator)
-        return tuple(seen)
+    @functools.cached_property
+    def kill_list(self) -> tuple[Word, ...]:
+        """Twist centers of W, then every chain curve in block order, each once."""
+        return tuple(dict.fromkeys(itertools.chain(_base_cycles(self.genus), *self.blocks)))
 
-
-def _dedup(words) -> tuple[Word, ...]:
-    """The words in first-seen order, each once."""
-    return tuple(dict.fromkeys(words))
+    @property
+    def twist_letter_count(self) -> int:
+        return len(self.blocks) * len(_base_cycles(self.genus))
 
 
 def base_plan(genus: int) -> FibrationPlan:
     """The fibration whose monodromy is the trivial word alone."""
-    surface = SurfaceGroup(genus)
-    cycles = surface.monodromy_cycles()
-    return FibrationPlan(
-        genus=genus,
-        blocks=(Block(BASE_RELATION, None),),
-        kill_list=_dedup(cycles),
-        twist_letter_count=len(cycles),
-    )
-
-
-def _cycle_count(genus: int) -> int:
-    return 2 * genus + 4 if genus % 2 == 0 else 2 * genus + 10
+    return FibrationPlan(genus, ((),))
 
 
 def _check_twist_curve(plan: FibrationPlan, d: Word) -> None:
@@ -99,28 +86,16 @@ def _check_twist_curve(plan: FibrationPlan, d: Word) -> None:
     )
 
 
+def _twisted_copy(plan: FibrationPlan, blocks: tuple[tuple[Word, ...], ...],
+                  d: Word) -> FibrationPlan:
+    """``plan`` followed by ``blocks``, each conjugated by the twist about d."""
+    return FibrationPlan(plan.genus, plan.blocks + tuple((d,) + chain for chain in blocks))
+
+
 def append_base_twist(plan: FibrationPlan, d: Word) -> FibrationPlan:
     """Multiply the monodromy by one conjugated copy of the trivial word."""
     _check_twist_curve(plan, d)
-    return replace(
-        plan,
-        blocks=plan.blocks + (Block(BASE_RELATION, d),),
-        kill_list=_dedup(plan.kill_list + (d,)),
-        twist_letter_count=plan.twist_letter_count + _cycle_count(plan.genus),
-    )
-
-
-def _append_plan_copy(plan: FibrationPlan, copy_blocks: tuple[Block, ...],
-                      d: Word) -> FibrationPlan:
-    head = (Block(BASE_RELATION, d),)
-    tail = copy_blocks[1:]
-    letters = len(copy_blocks) * _cycle_count(plan.genus)
-    return replace(
-        plan,
-        blocks=plan.blocks + head + tail,
-        kill_list=_dedup(plan.kill_list + (d,)),
-        twist_letter_count=plan.twist_letter_count + letters,
-    )
+    return _twisted_copy(plan, ((),), d)
 
 
 def extend_by_twist(plan: FibrationPlan, d: Word) -> FibrationPlan:
@@ -130,7 +105,7 @@ def extend_by_twist(plan: FibrationPlan, d: Word) -> FibrationPlan:
     doubles.
     """
     _check_twist_curve(plan, d)
-    return _append_plan_copy(plan, plan.blocks, d)
+    return _twisted_copy(plan, plan.blocks, d)
 
 
 def free_group_plan(genus: int) -> FibrationPlan:
@@ -180,10 +155,8 @@ def fundamental_group(plan: FibrationPlan, budget: int | None = None) -> PlanQuo
     Simplification uses generator elimination only; relators surviving it
     are reported verbatim, not shortened against each other.
     """
-    if not plan.has_section:
-        raise ValueError("the quotient rule needs a section")
     names, (relator,) = plan.surface.presentation_tuple()
-    raw = Presentation(names, (relator,) + _dedup(plan.kill_list))
+    raw = Presentation(names, (relator,) + plan.kill_list)
     kwargs = {"budget": budget} if budget is not None else {}
     result = tietze_simplify(raw, rewrite=False, **kwargs)
     return PlanQuotient(presentation=result.presentation, raw=raw,
@@ -224,16 +197,14 @@ def minimal_genus(p: Presentation) -> int:
     return max(2 * p.rank + longest - 1, 1)
 
 
-def realize_group(p: Presentation, genus: int | None = None,
-                  fillers: str = "empty",
-                  rng: random.Random | None = None) -> Realization:
+def realize_group(p: Presentation, genus: int | None = None) -> Realization:
     """Build a genus-g fibration plan whose total space has fundamental
     group presented by ``p``, following the free-quotient route.
 
     Starts from the plan whose group is free on a_1..a_(g//2), kills the
     spare generators a_(n+1)..a_(g//2) by further twists, then adds one
-    twisted copy of the whole plan per relator curve.  The quotient then
-    simplifies to the a-letter image of ``p``.
+    copy of that core plan per relator curve, twisted about the curve.
+    The quotient then simplifies to the a-letter image of ``p``.
     """
     n = p.rank
     bound = minimal_genus(p)
@@ -249,15 +220,12 @@ def realize_group(p: Presentation, genus: int | None = None,
     core_blocks = plan.blocks
 
     relators = [r for r in p.relators if not cyclic_reduce(r).is_identity]
-    curves = tuple(
-        relator_curve(r, n, genus, fillers=fillers, rng=rng) for r in relators
-    )
-    with warnings.catch_warnings():
-        # relator curves are sanctioned by construction; their algebraic
-        # crossing numbers with the recorded cycles are often not +-1
-        warnings.simplefilter("ignore", TransversalityWarning)
-        for curve in curves:
-            plan = _append_plan_copy(plan, core_blocks, curve.word)
+    curves = tuple(relator_curve(r, n, genus) for r in relators)
+    # relator curves are sanctioned by construction, so they skip the
+    # transversality check: their algebraic crossing numbers with the
+    # recorded cycles are often not +-1
+    for curve in curves:
+        plan = _twisted_copy(plan, core_blocks, curve.word)
 
     quotient = fundamental_group(plan)
     return Realization(source=p, plan=plan, quotient=quotient,
@@ -271,49 +239,29 @@ def realize_group(p: Presentation, genus: int | None = None,
 def plan_to_dict(plan: FibrationPlan) -> dict:
     names = plan.surface.generator_names
     return {
+        "schema": PLAN_SCHEMA,
         "genus": plan.genus,
-        "blocks": [
-            {
-                "relation": b.relation,
-                "conjugator": None if b.conjugator is None else format_word(b.conjugator, names),
-            }
-            for b in plan.blocks
-        ],
+        "blocks": [[format_word(w, names) for w in chain] for chain in plan.blocks],
         "kill_list": [format_word(w, names) for w in plan.kill_list],
         "twist_letters": plan.twist_letter_count,
     }
 
 
 def plan_from_dict(data: dict) -> FibrationPlan:
+    """Read a plan; the recorded kill list and letter count must be the
+    ones its blocks give."""
+    if data.get("schema") != PLAN_SCHEMA:
+        raise ValueError(f"unknown plan schema {data.get('schema')!r}")
     genus = int(data["genus"])
     names = SurfaceGroup(genus).generator_names
-    blocks = []
-    for item in data["blocks"]:
-        if item["relation"] != BASE_RELATION:
-            raise ValueError(f"unknown block relation {item['relation']!r}")
-        conj = item["conjugator"]
-        blocks.append(Block(BASE_RELATION, None if conj is None else parse_word(conj, names)))
-    kill = tuple(parse_word(t, names) for t in data["kill_list"])
     plan = FibrationPlan(
-        genus=genus,
-        blocks=tuple(blocks),
-        kill_list=kill,
-        twist_letter_count=int(data["twist_letters"]),
+        genus, tuple(tuple(parse_word(t, names) for t in chain) for chain in data["blocks"])
     )
-    _validate_plan(plan)
+    if tuple(parse_word(t, names) for t in data["kill_list"]) != plan.kill_list:
+        raise ValueError("kill list differs from the one the blocks give")
+    if data["twist_letters"] != plan.twist_letter_count:
+        raise ValueError("twist letter count differs from the one the blocks give")
     return plan
-
-
-def _validate_plan(plan: FibrationPlan) -> None:
-    if plan.twist_letter_count % _cycle_count(plan.genus) != 0:
-        raise ValueError("twist letter count is not a whole number of blocks")
-    cycles = set(_dedup(plan.surface.monodromy_cycles()))
-    killed = set(plan.kill_list)
-    if not cycles <= killed:
-        raise ValueError("kill list is missing base vanishing cycles")
-    for center in plan.conjugator_centers():
-        if center not in killed:
-            raise ValueError("kill list is missing a conjugator center")
 
 
 def plan_dumps(plan: FibrationPlan) -> str:

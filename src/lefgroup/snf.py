@@ -42,9 +42,6 @@ class SmithDecomposition:
     left: tuple[tuple[int, ...], ...]
     right: tuple[tuple[int, ...], ...]
 
-    def factors(self) -> tuple[int, ...]:
-        return self.diagonal
-
 
 def smith_normal_form(matrix) -> SmithDecomposition:
     """Diagonalize an integer matrix by unimodular row/column operations.

@@ -162,10 +162,9 @@ class HomologyCertificate:
     ok: bool
     cycle_classes: tuple[HomologyClass, ...]
     product: tuple[tuple[int, ...], ...]
-    failing_index: int | None = None
 
     def __str__(self) -> str:
-        verdict = "identity" if self.ok else f"NOT identity (see factor {self.failing_index})"
+        verdict = "identity" if self.ok else "NOT identity"
         return (
             f"genus {self.genus}: product of {len(self.cycle_classes)} "
             f"transvections is {verdict}"
@@ -190,16 +189,11 @@ def verify_homology_triviality(genus: int, cycles: list[Word] | None = None) -> 
         if not is_symplectic(surface, m):
             raise AssertionError("transvection failed the symplectic check")
         product = product @ m
-    ok = bool(np.array_equal(product, np.identity(2 * genus, dtype=object)))
-    failing = None
-    if not ok:
-        failing = len(classes) - 1
     return HomologyCertificate(
         genus=genus,
-        ok=ok,
+        ok=bool(np.array_equal(product, np.identity(2 * genus, dtype=object))),
         cycle_classes=classes,
         product=tuple(tuple(int(x) for x in row) for row in np.asarray(product)),
-        failing_index=failing,
     )
 
 

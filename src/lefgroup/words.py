@@ -102,14 +102,6 @@ class Word:
         return max((g for g, _ in self.syllables), default=0)
 
 
-identity = Word()
-
-
-def reduce_word(raw: Iterable[Syllable]) -> Word:
-    """Freely reduce a raw sequence of (index, exponent) pairs."""
-    return Word(raw)
-
-
 def syllable_length(w: Word) -> int:
     """Number of maximal generator-power blocks; 0 for the identity."""
     return len(w.syllables)

@@ -54,6 +54,8 @@ def test_free_product_plan_invariants():
 
 def test_plan_ranges():
     with pytest.raises(ValueError):
+        fib.base_plan(0)
+    with pytest.raises(ValueError):
         fib.free_group_plan(1)
     with pytest.raises(ValueError):
         fib.free_product_plan(2)
@@ -203,6 +205,41 @@ def test_plan_validation_rejects_bad_kill_list():
     data["kill_list"] = data["kill_list"][:-1]
     with pytest.raises(ValueError):
         fib.plan_from_dict(data)
+
+
+def test_plan_loader_rejects_kill_word_no_block_gives():
+    # killing a1 as well would drop the quotient from <a1, a2> to <a2>
+    data = fib.plan_to_dict(fib.free_group_plan(4))
+    data["kill_list"].append("a1")
+    with pytest.raises(ValueError):
+        fib.plan_from_dict(data)
+
+
+def test_plan_loader_rejects_wrong_letter_count():
+    data = fib.plan_to_dict(fib.free_group_plan(4))
+    data["twist_letters"] *= 3
+    with pytest.raises(ValueError):
+        fib.plan_from_dict(data)
+
+
+@pytest.mark.parametrize("schema", [None, "lefgroup/plan/1", "lefgroup/plan/3"])
+def test_plan_loader_rejects_missing_or_unknown_schema(schema):
+    data = fib.plan_to_dict(fib.base_plan(2))
+    if schema is None:
+        del data["schema"]
+    else:
+        data["schema"] = schema
+    with pytest.raises(ValueError):
+        fib.plan_from_dict(data)
+
+
+def test_nested_twists_record_conjugator_chains():
+    plan = fib.base_plan(2)
+    s = plan.surface
+    plan = fib.extend_by_twist(fib.extend_by_twist(plan, s.b(1)), s.b(2))
+    assert plan.blocks == ((), (s.b(1),), (s.b(2),), (s.b(2), s.b(1)))
+    assert plan.kill_list == fib.base_plan(2).kill_list + (s.b(1), s.b(2))
+    assert fib.plan_loads(fib.plan_dumps(plan)) == plan
 
 
 def test_realized_presentation_matches_simplified_source_battery():
