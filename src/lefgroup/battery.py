@@ -8,18 +8,23 @@ with different vectors present non-isomorphic groups; equal vectors mean
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .coset_enum import coset_enumerate
 from .finite_groups import (
     FiniteGroupTable,
     HomCountCapExceeded,
+    cyclic_group_table,
     default_battery,
     hom_count,
+    symmetric_group_table,
 )
 from .presentations import AbelianInvariants, Presentation, abelianization
 
 BATTERY_MAX_COSETS = 5_000
+# |S5|, the largest group the battery is run with; S6 alone is a 720^2 table
+MAX_BATTERY_ORDER = 120
 
 
 @dataclass(frozen=True)
@@ -64,10 +69,9 @@ def invariant_vector(p: Presentation,
 
 def parse_battery(text: str) -> list[FiniteGroupTable]:
     """CLI battery syntax: comma-separated tokens like ``s3``, ``z4``, or
-    the range form ``z2..z6``."""
-    from .finite_groups import cyclic_group_table, symmetric_group_table
-
-    tables: list[FiniteGroupTable] = []
+    the range form ``z2..z6``.  Every token is checked against
+    ``MAX_BATTERY_ORDER`` before any table is built."""
+    specs: list[tuple[str, int]] = []
     for token in text.split(","):
         token = token.strip().lower()
         if not token:
@@ -76,12 +80,16 @@ def parse_battery(text: str) -> list[FiniteGroupTable]:
             start, _, end = token.partition("..")
             if not (start.startswith("z") and end.startswith("z")):
                 raise ValueError(f"bad battery range {token!r}")
-            for n in range(int(start[1:]), int(end[1:]) + 1):
-                tables.append(cyclic_group_table(n))
-        elif token.startswith("s"):
-            tables.append(symmetric_group_table(int(token[1:])))
-        elif token.startswith("z"):
-            tables.append(cyclic_group_table(int(token[1:])))
+            kind, first, last = "z", int(start[1:]), int(end[1:])
+        elif token[:1] in ("s", "z"):
+            kind, first = token[0], int(token[1:])
+            last = first
         else:
             raise ValueError(f"bad battery token {token!r}")
-    return tables
+        # 6! already exceeds the bound, so s8 costs no large factorial
+        order = math.factorial(min(last, 6)) if kind == "s" else last
+        if order > MAX_BATTERY_ORDER:
+            raise ValueError(f"battery token {token!r}: group order exceeds {MAX_BATTERY_ORDER}")
+        specs += [(kind, n) for n in range(first, last + 1)]
+    build = {"s": symmetric_group_table, "z": cyclic_group_table}
+    return [build[kind](n) for kind, n in specs]

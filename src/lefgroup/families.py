@@ -577,14 +577,6 @@ def _abelian_odd_plan(s: SurfaceGroup, r: int, k: int, ms: tuple[int, ...]) -> F
     return plan
 
 
-def abelian_interim_plan(n: int, k: int) -> tuple[FibrationPlan, PlanQuotient]:
-    """Even-parity interim plan (all commuting curves, no torsion curves);
-    its fundamental group is free abelian of rank n + k."""
-    if (n + k) % 2 != 0 or n + k < 3:
-        raise ValueError("the interim plan exists for even n + k >= 4")
-    return abelian_group_plan(n + k, 0)
-
-
 # ---------------------------------------------------------------------------
 # torus bundles over the sphere
 

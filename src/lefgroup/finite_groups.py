@@ -31,6 +31,8 @@ class FiniteGroupTable:
         if any(len(row) != n for row in self.table):
             raise ValueError("multiplication table must be square")
         e = self.identity
+        if not 0 <= e < n:
+            raise ValueError(f"{self.name}: identity {e} is not an element of a table of order {n}")
         for a in range(n):
             if self.table[e][a] != a or self.table[a][e] != a:
                 raise ValueError(f"{self.name}: identity axiom fails at {a}")

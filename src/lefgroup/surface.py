@@ -5,16 +5,14 @@ a_i at index i and b_i at index g+i.  The catalog provides the separating
 curves c_i, the chain curves B_0..B_g of the built-in trivial monodromy
 word, and the extra middle curves that word needs when the genus is odd.
 
-Homology classes live in Z^(2g) in the (a_1..a_g, b_1..b_g) basis; a right
-Dehn twist about a curve acts as the symplectic transvection
-x -> x + <x, c> c where <a_i, b_i> = +1.
+Homology classes are integer tuples in Z^(2g) in the (a_1..a_g, b_1..b_g)
+basis, paired by the intersection form with <a_i, b_i> = +1.  A right Dehn
+twist about a curve of class c acts on them as x -> x + <x, c> c.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .words import Word, exponent_sums
 
@@ -124,14 +122,6 @@ class SurfaceGroup:
     def homology_class(self, w: Word) -> HomologyClass:
         return exponent_sums(w, 2 * self.genus)
 
-    def intersection_matrix(self) -> np.ndarray:
-        g = self.genus
-        j = np.zeros((2 * g, 2 * g), dtype=object)
-        for i in range(g):
-            j[i, g + i] = 1
-            j[g + i, i] = -1
-        return j
-
     def intersection(self, x: HomologyClass, y: HomologyClass) -> int:
         g = self.genus
         if len(x) != 2 * g or len(y) != 2 * g:
@@ -141,19 +131,11 @@ class SurfaceGroup:
             total += x[i] * y[g + i] - x[g + i] * y[i]
         return total
 
-    def transvection(self, c: HomologyClass) -> np.ndarray:
-        """Matrix of x -> x + <x, c> c on column vectors, exact integers."""
-        g = self.genus
-        if len(c) != 2 * g:
-            raise ValueError("homology class must have length 2g")
-        col = np.array(c, dtype=object).reshape(-1, 1)
-        jc = self.intersection_matrix() @ col
-        return np.identity(2 * g, dtype=object) + col @ jc.T
-
-
-def is_symplectic(surface: SurfaceGroup, m: np.ndarray) -> bool:
-    j = surface.intersection_matrix()
-    return bool(np.array_equal(m.T @ j @ m, j))
+    def twist(self, x: HomologyClass, c: HomologyClass) -> HomologyClass:
+        """The right Dehn twist about a curve of class c applied to x:
+        x + <x, c> c."""
+        k = self.intersection(x, c)
+        return tuple(xi + k * ci for xi, ci in zip(x, c)) if k else x
 
 
 @dataclass(frozen=True)
@@ -174,29 +156,30 @@ class HomologyCertificate:
 def verify_homology_triviality(genus: int, cycles: list[Word] | None = None) -> HomologyCertificate:
     """Certify that the trivial monodromy word acts trivially on homology.
 
-    Multiplies the transvections of the twist centers in their listed
-    order (the matrix of "apply x then y" acting on row vectors) and
-    compares with the identity, exactly.  Pass ``cycles`` to check a
-    mutated list instead of the standard one.
+    The product P = T_1 .. T_n of the twists about the listed centers is
+    built column by column: column j is the basis class e_j pushed through
+    the twists from the last center to the first.  P must preserve the
+    intersection form, <P e_i, P e_j> = <e_i, e_j>, and is compared with
+    the identity exactly.  ``product`` holds P row by row.  Pass ``cycles``
+    to check a mutated list instead of the standard one.
     """
     surface = SurfaceGroup(genus)
     if cycles is None:
         cycles = surface.monodromy_cycles()
     classes = tuple(surface.homology_class(w) for w in cycles)
-    product = np.identity(2 * genus, dtype=object)
-    for cls in classes:
-        m = surface.transvection(cls)
-        if not is_symplectic(surface, m):
-            raise AssertionError("transvection failed the symplectic check")
-        product = product @ m
+    n = 2 * genus
+    basis = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    columns = []
+    for x in basis:
+        for c in reversed(classes):
+            x = surface.twist(x, c)
+        columns.append(x)
+    if any(surface.intersection(columns[i], columns[j]) != surface.intersection(basis[i], basis[j])
+           for i in range(n) for j in range(i + 1, n)):
+        raise AssertionError("the twist product failed the symplectic check")
     return HomologyCertificate(
         genus=genus,
-        ok=bool(np.array_equal(product, np.identity(2 * genus, dtype=object))),
+        ok=columns == basis,
         cycle_classes=classes,
-        product=tuple(tuple(int(x) for x in row) for row in np.asarray(product)),
+        product=tuple(zip(*columns)),
     )
-
-
-def format_matrix(m) -> str:
-    """Row-major integer text, one row per line."""
-    return "\n".join(" ".join(str(int(x)) for x in row) for row in np.asarray(m))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from lefgroup import battery
 from lefgroup.battery import invariant_vector, parse_battery
 from lefgroup.presentations import presentation
 
@@ -37,6 +38,29 @@ def test_parse_battery_bad_token(text):
 def test_parse_battery_bad_range(text):
     with pytest.raises(ValueError, match="bad battery range"):
         parse_battery(text)
+
+
+@pytest.mark.parametrize("text", ["z0", "z-3"])
+def test_parse_battery_refuses_empty_groups(text):
+    with pytest.raises(ValueError, match="is not an element"):
+        parse_battery(text)
+
+
+@pytest.mark.parametrize("text", ["s6", "s8", "z121", "z2..z500", "s3,s8"])
+def test_parse_battery_refuses_large_groups_before_building(monkeypatch, text):
+    def refuse(n):
+        raise AssertionError(f"built a table for {n}")
+
+    monkeypatch.setattr(battery, "symmetric_group_table", refuse)
+    monkeypatch.setattr(battery, "cyclic_group_table", refuse)
+    token = text.split(",")[-1]
+    with pytest.raises(ValueError, match=f"battery token '{token}'.*exceeds 120"):
+        parse_battery(text)
+
+
+def test_parse_battery_bound_admits_s5():
+    # the largest group in use: the invariants benchmark battery has S5
+    assert [t.order for t in parse_battery("s5")] == [120]
 
 
 def test_invariant_vector_to_dict():

@@ -27,6 +27,15 @@ def test_corrupt_table_rejected():
         FiniteGroupTable("bad", bad)
 
 
+def test_table_without_its_identity_rejected():
+    with pytest.raises(ValueError, match="identity 0 is not an element"):
+        FiniteGroupTable("E", ())
+    z2 = ((0, 1), (1, 0))
+    for identity in (2, -1):
+        with pytest.raises(ValueError, match="is not an element"):
+            FiniteGroupTable("Z2", z2, identity)
+
+
 def test_power():
     z5 = cyclic_group_table(5)
     assert z5.power(1, 7) == 2

@@ -1,14 +1,9 @@
 import random
 
-import numpy as np
 import pytest
 
-from lefgroup.surface import (
-    SurfaceGroup,
-    format_matrix,
-    is_symplectic,
-    verify_homology_triviality,
-)
+from lefgroup.snf import matmul
+from lefgroup.surface import SurfaceGroup, verify_homology_triviality
 from lefgroup.words import Word, exponent_sums
 
 
@@ -90,26 +85,52 @@ def test_intersection_bilinear_antisymmetric():
         assert s.intersection(xy, z) == s.intersection(x, z) + s.intersection(y, z)
 
 
+def _basis(g):
+    return [tuple(int(i == j) for i in range(2 * g)) for j in range(2 * g)]
+
+
 def test_transvection_properties():
     s = SurfaceGroup(2)
     zero = (0, 0, 0, 0)
-    assert np.array_equal(s.transvection(zero), np.identity(4, dtype=object))
+    assert all(s.twist(e, zero) == e for e in _basis(2))
     c = s.homology_class(s.a(1))
-    m = s.transvection(c)
-    assert is_symplectic(s, m)
-    col = np.array(c, dtype=object).reshape(-1, 1)
-    assert np.array_equal(m @ col, col)  # the twisted curve itself is fixed
+    assert s.twist(c, c) == c  # the twisted curve itself is fixed
     # b1 moves by a1 (up to the pinned global sign)
-    b1 = np.array(s.homology_class(s.b(1)), dtype=object).reshape(-1, 1)
-    moved = m @ b1
-    assert moved[0, 0] in (1, -1) and moved[2, 0] == 1
+    moved = s.twist(s.homology_class(s.b(1)), c)
+    assert moved[0] in (1, -1) and moved[2] == 1
+    with pytest.raises(ValueError):
+        s.twist((1, 0), c)
 
 
 def test_all_monodromy_transvections_symplectic():
     for g in (1, 2, 3, 4):
         s = SurfaceGroup(g)
+        basis = _basis(g)
         for w in s.monodromy_cycles():
-            assert is_symplectic(s, s.transvection(s.homology_class(w)))
+            c = s.homology_class(w)
+            for x in basis:
+                for y in basis:
+                    assert s.intersection(s.twist(x, c), s.twist(y, c)) == s.intersection(x, y)
+
+
+def _transvection_matrix(g, c):
+    """I + c (Jc)^T entry by entry, with J the matrix of the intersection form."""
+    jc = [c[g + i] for i in range(g)] + [-c[i] for i in range(g)]
+    return [[int(r == k) + c[r] * jc[k] for k in range(2 * g)] for r in range(2 * g)]
+
+
+def test_homology_product_matches_matrix_product():
+    for g in range(1, 9):
+        s = SurfaceGroup(g)
+        standard = s.monodromy_cycles()
+        shuffled = [random.Random(seed).sample(standard, len(standard)) for seed in (g, g + 50)]
+        for cycles in [standard, standard[:-1], standard[1:], *shuffled]:
+            product = [list(row) for row in _basis(g)]
+            for w in cycles:
+                product = matmul(product, _transvection_matrix(g, s.homology_class(w)))
+            cert = verify_homology_triviality(g, cycles)
+            assert cert.product == tuple(tuple(row) for row in product), g
+            assert cert.ok == (cert.product == tuple(_basis(g)))
 
 
 def test_homology_certificate_identity():
@@ -138,12 +159,6 @@ def test_b_curves_meet_some_cycle_once():
             bi = s.homology_class(s.b(i))
             b2i = s.homology_class(s.chain_curve(2 * i))
             assert abs(s.intersection(bi, b2i)) == 1
-
-
-def test_format_matrix():
-    s = SurfaceGroup(1)
-    text = format_matrix(s.transvection(s.homology_class(s.a(1))))
-    assert text == "1 -1\n0 1"
 
 
 def _chained_curves(s: SurfaceGroup) -> tuple[Word, list[Word], list[Word]]:
