@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .presentations import Presentation
 from .words import Word
@@ -25,6 +26,8 @@ class FiniteGroupTable:
     table: tuple[tuple[int, ...], ...]
     identity: int = 0
     _inverse: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _power_rows: dict[int, tuple[int, ...]] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         n = len(self.table)
@@ -44,12 +47,18 @@ class FiniteGroupTable:
                     break
             if inverse[a] < 0:
                 raise ValueError(f"{self.name}: element {a} has no inverse")
-        for a in range(n):
-            for b in range(n):
-                ab = self.table[a][b]
-                for c in range(n):
-                    if self.table[ab][c] != self.table[a][self.table[b][c]]:
-                        raise ValueError(f"{self.name}: associativity fails at {(a, b, c)}")
+        # Light's test: the b with (x·b)·y == x·(b·y) for all x, y are closed
+        # under products (Clifford & Preston 1961), so checking b over a
+        # set that generates every element by left-bracketed products
+        # proves associativity in O(n^2 |gens|) instead of O(n^3).
+        for b in _light_generators(self.table, e):
+            row_b = self.table[b]
+            for x in range(n):
+                row_x = self.table[x]
+                row_xb = self.table[row_x[b]]
+                for y in range(n):
+                    if row_xb[y] != row_x[row_b[y]]:
+                        raise ValueError(f"{self.name}: associativity fails at {(x, b, y)}")
         object.__setattr__(self, "_inverse", tuple(inverse))
 
     @property
@@ -72,6 +81,51 @@ class FiniteGroupTable:
             a = self.table[a][a]
             k >>= 1
         return out
+
+    def power_row(self, k: int) -> tuple[int, ...]:
+        """The map ``a -> a^k`` as a row indexed by element, built once per ``k``."""
+        row = self._power_rows.get(k)
+        if row is None:
+            row = tuple(self.power(a, k) for a in range(self.order))
+            self._power_rows[k] = row
+        return row
+
+    @cached_property
+    def classes(self) -> tuple[tuple[int, int], ...]:
+        """Conjugacy classes as (least element, class size), by least element."""
+        inv = self._inverse
+        seen = [False] * self.order
+        out = []
+        for a in range(self.order):
+            if seen[a]:
+                continue
+            members = {self.table[self.table[h][a]][inv[h]] for h in range(self.order)}
+            for c in members:
+                seen[c] = True
+            out.append((a, len(members)))
+        return tuple(out)
+
+
+def _light_generators(table, identity: int) -> list[int]:
+    """A greedy generating set without the identity: every element is the
+    identity or a left-bracketed product ``(..(g1·g2)..)·gk`` of its members."""
+    n = len(table)
+    reached = [False] * n
+    reached[identity] = True
+    gens: list[int] = []
+    for a in range(n):
+        if reached[a]:
+            continue
+        gens.append(a)
+        stack = [x for x in range(n) if reached[x]]
+        while stack:
+            x = stack.pop()
+            for g in gens:
+                y = table[x][g]
+                if not reached[y]:
+                    reached[y] = True
+                    stack.append(y)
+    return gens
 
 
 def cyclic_group_table(n: int) -> FiniteGroupTable:
@@ -112,9 +166,12 @@ def hom_count(p: Presentation, group: FiniteGroupTable,
               cap: int = DEFAULT_HOM_CAP) -> int:
     """Number of homomorphisms from the presented group into ``group``.
 
-    Brute force over generator assignments; refuses outright when
-    ``order ** rank`` exceeds ``cap``.  Generators that share no relator
-    are counted independently, which does not change the result.
+    Backtracks over generator assignments, checking each relator as soon
+    as its generators are assigned.  Generators that share no relator are
+    counted independently, and the first generator of each component runs
+    over one element per conjugacy class, weighted by the class size;
+    neither changes the result.  Refuses outright when the nominal search
+    space ``order ** rank`` exceeds ``cap``, whatever these reductions save.
     """
     n = p.rank
     if group.order ** n > cap:
@@ -158,38 +215,43 @@ def _count_component(gens: list[int], rels: list[Word],
     if not rels:
         return group.order ** k
     pos = {g: i for i, g in enumerate(gens)}
-    compiled = [[(pos[g], e) for g, e in r] for r in rels]
+    compiled = [[(pos[g], group.power_row(e)) for g, e in r] for r in rels]
     # check each relator as soon as all its generators are assigned
-    by_depth: list[list[list[tuple[int, int]]]] = [[] for _ in range(k)]
+    by_depth: list[list[list[tuple[int, tuple[int, ...]]]]] = [[] for _ in range(k)]
     for c in compiled:
         by_depth[max(i for i, _ in c)].append(c)
 
     table = group.table
     identity = group.identity
-    power = group.power
-    count = 0
     assignment = [0] * k
 
-    def recurse(depth: int) -> None:
-        nonlocal count
+    def holds(depth: int) -> bool:
+        for rel in by_depth[depth]:
+            acc = identity
+            for i, row in rel:
+                acc = table[acc][row[assignment[i]]]
+            if acc != identity:
+                return False
+        return True
+
+    def count_from(depth: int) -> int:
         if depth == k:
-            count += 1
-            return
+            return 1
+        count = 0
         for val in range(group.order):
             assignment[depth] = val
-            ok = True
-            for rel in by_depth[depth]:
-                acc = identity
-                for i, e in rel:
-                    acc = table[acc][power(assignment[i], e)]
-                if acc != identity:
-                    ok = False
-                    break
-            if ok:
-                recurse(depth + 1)
+            if holds(depth):
+                count += count_from(depth + 1)
+        return count
 
-    recurse(0)
-    return count
+    # conjugating by h maps the homomorphisms sending the first generator
+    # to a one-to-one onto those sending it to h a h^-1
+    total = 0
+    for rep, size in group.classes:
+        assignment[0] = rep
+        if holds(0):
+            total += size * count_from(1)
+    return total
 
 
 def default_battery() -> list[FiniteGroupTable]:

@@ -8,6 +8,7 @@ A presentation with no generators prints as ``< | >``.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -288,6 +289,20 @@ class _TietzeState:
         )
 
 
+# The rewrite pass spells each relator as a str, one code point per signed
+# letter x, namely chr(x + _LETTER_OFFSET), so that str.find does the
+# piece search.  Every index up to _LETTER_OFFSET has its own code points.
+_LETTER_OFFSET = sys.maxunicode // 2
+
+
+def _spell(letters: list[int]) -> str:
+    return "".join([chr(x + _LETTER_OFFSET) for x in letters])
+
+
+def _unspell(text: str) -> list[int]:
+    return [ord(c) - _LETTER_OFFSET for c in text]
+
+
 def _rewrite_pass(rels: list[Word]) -> int | None:
     """Shorten one relator using a cyclic piece of another; return its index.
 
@@ -295,42 +310,39 @@ def _rewrite_pass(rels: list[Word]) -> int | None:
     by a conjugate of a rotation of s, so the normal closure is unchanged
     while t gets strictly shorter.
     """
+    top = max((r.max_index() for r in rels), default=0)
+    if top > _LETTER_OFFSET:
+        raise ValueError(
+            f"rewriting supports generator indices up to {_LETTER_OFFSET}, got {top}"
+        )
+    texts = [_spell(r.letters()) for r in rels]
+    inverses = [_spell([-x for x in reversed(r.letters())]) for r in rels]
     order = sorted(range(len(rels)), key=lambda i: -len(rels[i]))
     for ti in order:
-        t_letters = rels[ti].letters()
-        if not t_letters:
+        m = len(texts[ti])
+        if not m:
             continue
-        doubled = t_letters + t_letters
+        doubled = texts[ti] + texts[ti]
         for si, s in enumerate(rels):
             if si == ti or len(s) > len(rels[ti]) or s.is_identity:
                 continue
-            s_letters = s.letters()
-            n = len(s_letters)
-            variants = [s_letters, [-x for x in reversed(s_letters)]]
-            for var in variants:
+            n = len(texts[si])
+            for var in (texts[si], inverses[si]):
                 var2 = var + var
                 for rot in range(n):
                     rotation = var2[rot:rot + n]
                     for ulen in range(n, n // 2, -1):
-                        piece = rotation[:ulen]
-                        hit = _find_subsequence(doubled, piece, len(t_letters))
-                        if hit is None:
+                        # the leftmost start below m, as in the doubled cyclic word
+                        hit = doubled.find(rotation[:ulen], 0, m - 1 + ulen)
+                        if hit < 0:
                             continue
-                        tail = rotation[ulen:]
-                        rest = doubled[hit + ulen:hit + len(t_letters)]
+                        tail = _unspell(rotation[ulen:])
+                        rest = _unspell(doubled[hit + ulen:hit + m])
                         new = Word.from_letters([-x for x in reversed(tail)] + rest)
                         new = cyclic_reduce(new)
                         if len(new) < len(rels[ti]):
                             rels[ti] = new
                             return ti
-    return None
-
-
-def _find_subsequence(haystack: list[int], needle: list[int], starts: int) -> int | None:
-    n = len(needle)
-    for i in range(starts):
-        if haystack[i:i + n] == needle:
-            return i
     return None
 
 

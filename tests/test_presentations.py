@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -20,7 +21,8 @@ from lefgroup.presentations import (
     same_presentation,
     tietze_simplify,
 )
-from lefgroup.words import Word, parse_word
+from lefgroup.presentations import _rewrite_pass
+from lefgroup.words import Word, cyclic_reduce, parse_word
 
 
 def test_parse_format_round_trip():
@@ -188,3 +190,84 @@ def test_budget_exhaustion_flag():
     p = presentation("a,b,c", "a b", "b c", "c a")
     result = tietze_simplify(p, budget=1)
     assert result.budget_exhausted
+
+
+def reference_rewrite_pass(rels):
+    """The rewrite pass as a plain scan over letter lists: the oracle for
+    the string search in ``_rewrite_pass``."""
+    order = sorted(range(len(rels)), key=lambda i: -len(rels[i]))
+    for ti in order:
+        t_letters = rels[ti].letters()
+        if not t_letters:
+            continue
+        doubled = t_letters + t_letters
+        for si, s in enumerate(rels):
+            if si == ti or len(s) > len(rels[ti]) or s.is_identity:
+                continue
+            s_letters = s.letters()
+            n = len(s_letters)
+            for var in (s_letters, [-x for x in reversed(s_letters)]):
+                var2 = var + var
+                for rot in range(n):
+                    rotation = var2[rot:rot + n]
+                    for ulen in range(n, n // 2, -1):
+                        piece = rotation[:ulen]
+                        hit = next((i for i in range(len(t_letters))
+                                    if doubled[i:i + ulen] == piece), None)
+                        if hit is None:
+                            continue
+                        tail = rotation[ulen:]
+                        rest = doubled[hit + ulen:hit + len(t_letters)]
+                        new = cyclic_reduce(
+                            Word.from_letters([-x for x in reversed(tail)] + rest))
+                        if len(new) < len(rels[ti]):
+                            rels[ti] = new
+                            return ti
+    return None
+
+
+def random_relators(rng, gens):
+    """A few random words over ``gens``, some spliced from pieces of the
+    others so that the rewrite pass finds long common pieces."""
+    rels = []
+    for _ in range(rng.randint(1, 5)):
+        if rels and rng.random() < 0.5:
+            letters = rng.choice(rels).letters()
+            if rng.random() < 0.5:
+                letters = [-x for x in reversed(letters)]
+            cut = rng.randrange(len(letters) + 1)
+            letters = letters[cut:] + letters[:cut]
+            piece = letters[:rng.randint(len(letters) // 2, len(letters))]
+            extra = [rng.choice(gens) * rng.choice([-1, 1]) for _ in range(rng.randint(0, 4))]
+            w = Word.from_letters(extra + piece)
+        else:
+            w = Word((rng.choice(gens), rng.choice([-2, -1, 1, 2]))
+                     for _ in range(rng.randint(1, 7)))
+        rels.append(w)
+    return rels
+
+
+@pytest.mark.parametrize("gens", [
+    [1, 2],
+    [1, 2, 3, 4],
+    [1, 301, 302, 5000],
+    [1, sys.maxunicode // 2],
+], ids=["rank2", "rank4", "above300", "top_index"])
+def test_rewrite_pass_matches_reference_scan(gens):
+    rng = random.Random(f"rewrite-{gens}")
+    rewritten = 0
+    for _ in range(150):
+        rels = random_relators(rng, gens)
+        expected = list(rels)
+        got = list(rels)
+        ti = _rewrite_pass(got)
+        assert ti == reference_rewrite_pass(expected), rels
+        assert got == expected, rels
+        rewritten += ti is not None
+    assert rewritten > 30
+
+
+def test_rewrite_pass_refuses_indices_without_a_code_point():
+    rels = [Word.generator(sys.maxunicode // 2 + 1, 3), Word.generator(1, 2)]
+    with pytest.raises(ValueError, match="generator indices up to"):
+        _rewrite_pass(rels)
