@@ -4,6 +4,11 @@ A vector bundles the abelianization, homomorphism counts into a battery
 of finite groups, and the coset-enumeration verdict.  Two presentations
 with different vectors present non-isomorphic groups; equal vectors mean
 "indistinguishable by this battery", never more.
+
+The coset order is attempted only when the abelianization is finite.  A
+group whose H1 has free rank > 0 maps onto Z, so it is infinite and no
+coset enumeration can close on it; its verdict is "inconclusive" without
+running one.
 """
 
 from __future__ import annotations
@@ -50,7 +55,12 @@ class InvariantVector:
 def invariant_vector(p: Presentation,
                      battery: list[FiniteGroupTable] | None = None,
                      max_cosets: int = BATTERY_MAX_COSETS) -> InvariantVector:
-    """Compute the vector; oversized hom counts are recorded as skipped."""
+    """Compute the vector; oversized hom counts are recorded as skipped.
+
+    Coset enumeration runs only when H1 is finite (free rank 0).  Otherwise
+    the group is infinite, the enumeration could not close, and the coset
+    order is recorded as inconclusive (None) straight away.
+    """
     if battery is None:
         battery = default_battery()
     counts = []
@@ -59,11 +69,16 @@ def invariant_vector(p: Presentation,
             counts.append((table.name, hom_count(p, table)))
         except HomCountCapExceeded:
             counts.append((table.name, None))
-    enumeration = coset_enumerate(p, max_cosets=max_cosets)
+    abelian = abelianization(p)
+    coset_order = None
+    if abelian.free_rank == 0:
+        enumeration = coset_enumerate(p, max_cosets=max_cosets)
+        if enumeration.conclusive:
+            coset_order = enumeration.order
     return InvariantVector(
-        abelian=abelianization(p),
+        abelian=abelian,
         hom_counts=tuple(counts),
-        coset_order=enumeration.order if enumeration.conclusive else None,
+        coset_order=coset_order,
     )
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 from .presentations import Presentation
 from .words import Word
@@ -135,12 +136,15 @@ def cyclic_group_table(n: int) -> FiniteGroupTable:
 
 def symmetric_group_table(n: int) -> FiniteGroupTable:
     """S_n on the permutations of range(n) in lexicographic order."""
+    if n < 2:
+        # one element; itemgetter needs two indices to return a tuple
+        return FiniteGroupTable(f"S{n}", ((0,),))
     perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
-    # product = apply right permutation first, then the left one
-    table = tuple(
-        tuple(index[tuple(p[q[i]] for i in range(n))] for q in perms) for p in perms
-    )
+    # product = apply right permutation first, then the left one:
+    # itemgetter(*q)(p) is the tuple p[q[0]], ..., p[q[n-1]]
+    composers = [itemgetter(*q) for q in perms]
+    table = tuple(tuple([index[compose(p)] for compose in composers]) for p in perms)
     return FiniteGroupTable(f"S{n}", table)
 
 

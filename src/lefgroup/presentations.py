@@ -203,6 +203,7 @@ class _TietzeState:
         self.pins: dict[int, tuple[int, int, int]] = {}
         self.occurs: dict[int, set[int]] = {g: set() for g in range(1, rank + 1)}
         self.replacements: list[tuple[int, Word]] = []
+        self.barren: set[tuple[str, str]] = set()
         for ri, r in enumerate(relators):
             self._settle(ri, r)
 
@@ -262,7 +263,7 @@ class _TietzeState:
         """Shorten one relator by another (see :func:`_rewrite_pass`)."""
         order = sorted(self.words)
         rels = [self.words[ri] for ri in order]
-        ti = _rewrite_pass(rels)
+        ti = _rewrite_pass(rels, self.barren)
         if ti is None:
             return False
         self._detach(order[ti])
@@ -303,12 +304,16 @@ def _unspell(text: str) -> list[int]:
     return [ord(c) - _LETTER_OFFSET for c in text]
 
 
-def _rewrite_pass(rels: list[Word]) -> int | None:
+def _rewrite_pass(rels: list[Word], barren: set[tuple[str, str]]) -> int | None:
     """Shorten one relator using a cyclic piece of another; return its index.
 
     Replacing more than half of a relator s inside a relator t multiplies t
     by a conjugate of a rotation of s, so the normal closure is unchanged
     while t gets strictly shorter.
+
+    Whether s shortens t depends on those two words alone, so the spelled
+    pairs (t, s) that shortened nothing are added to ``barren`` and skipped
+    when a later pass meets them again; the scan order is the same.
     """
     top = max((r.max_index() for r in rels), default=0)
     if top > _LETTER_OFFSET:
@@ -317,17 +322,18 @@ def _rewrite_pass(rels: list[Word]) -> int | None:
         )
     texts = [_spell(r.letters()) for r in rels]
     inverses = [_spell([-x for x in reversed(r.letters())]) for r in rels]
-    order = sorted(range(len(rels)), key=lambda i: -len(rels[i]))
+    order = sorted(range(len(rels)), key=lambda i: -len(texts[i]))
     for ti in order:
-        m = len(texts[ti])
+        t = texts[ti]
+        m = len(t)
         if not m:
             continue
-        doubled = texts[ti] + texts[ti]
-        for si, s in enumerate(rels):
-            if si == ti or len(s) > len(rels[ti]) or s.is_identity:
+        doubled = t + t
+        for si, s in enumerate(texts):
+            n = len(s)
+            if si == ti or n > m or not n or (t, s) in barren:
                 continue
-            n = len(texts[si])
-            for var in (texts[si], inverses[si]):
+            for var in (s, inverses[si]):
                 var2 = var + var
                 for rot in range(n):
                     rotation = var2[rot:rot + n]
@@ -340,9 +346,10 @@ def _rewrite_pass(rels: list[Word]) -> int | None:
                         rest = _unspell(doubled[hit + ulen:hit + m])
                         new = Word.from_letters([-x for x in reversed(tail)] + rest)
                         new = cyclic_reduce(new)
-                        if len(new) < len(rels[ti]):
+                        if len(new) < m:
                             rels[ti] = new
                             return ti
+            barren.add((t, s))
     return None
 
 

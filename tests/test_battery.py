@@ -1,10 +1,14 @@
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lefgroup import battery
-from lefgroup.battery import invariant_vector, parse_battery
-from lefgroup.presentations import presentation
+from lefgroup import battery, families
+from lefgroup.battery import BATTERY_MAX_COSETS, invariant_vector, parse_battery
+from lefgroup.coset_enum import coset_enumerate
+from lefgroup.presentations import Presentation, abelianization, presentation, tietze_simplify
+from lefgroup.words import Word
 
 
 def names(text):
@@ -85,3 +89,65 @@ def test_invariant_vector_to_dict_skipped_and_inconclusive():
         "hom_counts": {"S3": "skipped", "Z2": 256},
         "coset_order": "inconclusive",
     }
+
+
+def infinite_abelianization_inputs():
+    """Presentations whose H1 has free rank > 0, by label: braid and Artin
+    groups, and seeded one-relator groups x^a y^b x^c y^d (one relator on
+    two generators leaves free rank >= 1)."""
+    inputs = {f"braid{n}": families.family_presentation(families.family_spec("braid", n))
+              for n in range(2, 7)}
+    inputs.update({f"artin{n}": families.family_presentation(families.family_spec("artin", n))
+                   for n in (5, 6)})
+    rng = random.Random("one-relator")
+    exponents = [e for e in range(-3, 4) if e]
+    for index in range(8):
+        relator = Word([(g, rng.choice(exponents)) for g in (1, 2, 1, 2)])
+        inputs[f"one_relator{index}"] = Presentation(("x", "y"), (relator,))
+    return inputs
+
+
+INFINITE_H1 = infinite_abelianization_inputs()
+
+
+@pytest.mark.parametrize("p", INFINITE_H1.values(), ids=INFINITE_H1.keys())
+def test_invariant_vector_skips_enumeration_when_h1_is_infinite(monkeypatch, p):
+    assert abelianization(p).free_rank > 0
+    # the enumeration the vector skips could not have closed
+    assert not coset_enumerate(p, max_cosets=BATTERY_MAX_COSETS).conclusive
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("coset_enumerate called on an infinite group")
+
+    monkeypatch.setattr(battery, "coset_enumerate", refuse)
+    vector = invariant_vector(p, parse_battery("s3,z2..z4"))
+    assert vector.coset_order is None
+    assert vector.to_dict()["coset_order"] == "inconclusive"
+
+
+@st.composite
+def small_presentations(draw):
+    rank = draw(st.integers(1, 3))
+    syllable = st.tuples(st.integers(1, rank),
+                         st.integers(-3, 3).filter(lambda e: e != 0))
+    relators = draw(st.lists(st.lists(syllable, min_size=1, max_size=5), max_size=4))
+    names = tuple(f"x{i}" for i in range(1, rank + 1))
+    return Presentation(names, tuple(Word(r) for r in relators))
+
+
+ROUND_TRIP_BATTERY = parse_battery("s3,z2..z4")
+
+
+@settings(derandomize=True, deadline=None)
+@given(small_presentations())
+def test_tietze_simplify_keeps_invariant_vector(p):
+    before = invariant_vector(p, ROUND_TRIP_BATTERY, max_cosets=200)
+    after = invariant_vector(tietze_simplify(p).presentation, ROUND_TRIP_BATTERY,
+                             max_cosets=200)
+    assert after.abelian == before.abelian
+    # a skipped hom count or an enumeration that did not close says nothing
+    for (name, a), (other, b) in zip(before.hom_counts, after.hom_counts):
+        assert name == other
+        assert a is None or b is None or a == b, name
+    assert (before.coset_order is None or after.coset_order is None
+            or before.coset_order == after.coset_order)

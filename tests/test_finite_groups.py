@@ -24,6 +24,19 @@ def test_table_axioms_verified():
     assert s3.multiply(2, s3.inverse(2)) == s3.identity
 
 
+@pytest.mark.parametrize("n", range(6))
+def test_symmetric_table_matches_composition(n):
+    """Oracle: every entry composed letter by letter as a tuple."""
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    expected = tuple(
+        tuple(index[tuple(p[q[i]] for i in range(n))] for q in perms) for p in perms
+    )
+    group = symmetric_group_table(n)
+    assert group.name == f"S{n}"
+    assert group.table == expected
+
+
 def test_corrupt_table_rejected():
     bad = ((0, 1), (1, 1))
     with pytest.raises(ValueError):

@@ -254,20 +254,32 @@ def random_relators(rng, gens):
     [1, sys.maxunicode // 2],
 ], ids=["rank2", "rank4", "above300", "top_index"])
 def test_rewrite_pass_matches_reference_scan(gens):
+    """Passes run to a fixed point with one barren-pair set per relator
+    list, as in one simplification; every pass must agree with the plain
+    scan, which keeps no memo."""
     rng = random.Random(f"rewrite-{gens}")
     rewritten = 0
+    repeated = 0
     for _ in range(150):
         rels = random_relators(rng, gens)
         expected = list(rels)
         got = list(rels)
-        ti = _rewrite_pass(got)
-        assert ti == reference_rewrite_pass(expected), rels
-        assert got == expected, rels
-        rewritten += ti is not None
+        barren = set()
+        passes = 0
+        while True:  # every rewrite shortens a relator, so this ends
+            passes += 1
+            ti = _rewrite_pass(got, barren)
+            assert ti == reference_rewrite_pass(expected), rels
+            assert got == expected, rels
+            if ti is None:
+                break
+        rewritten += passes > 1
+        repeated += passes > 2
     assert rewritten > 30
+    assert repeated > 50
 
 
 def test_rewrite_pass_refuses_indices_without_a_code_point():
     rels = [Word.generator(sys.maxunicode // 2 + 1, 3), Word.generator(1, 2)]
     with pytest.raises(ValueError, match="generator indices up to"):
-        _rewrite_pass(rels)
+        _rewrite_pass(rels, set())
