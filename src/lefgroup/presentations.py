@@ -8,6 +8,7 @@ A presentation with no generators prints as ``< | >``.
 
 from __future__ import annotations
 
+import heapq
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -164,6 +165,28 @@ def generator_lower_bound(p: Presentation) -> int:
 # back-substituting the recorded replacements in reverse elimination order;
 # substitution composes and free reduction is canonical, so these are the
 # words that substituting into every image on every pass would give.
+#
+# One-letter relators (mostly kill words that are, or have shrunk to, a
+# single handle curve) pin most eliminations, and each would settle every
+# relator that holds its generator again.  While the least pin key has
+# length 1, its generator and every other generator that a one-letter
+# relator pins, now or after the kills shrink one, are killed as one batch
+# (_TietzeState._kill_letters).  The result is exactly that of killing them
+# one pass at a time:
+# - Setting generators to 1 is a homomorphism that maps conjugates to
+#   conjugates and inverses to inverses, so a relator's normal form after
+#   the batch does not depend on the kill order, nor does which relators
+#   shrink to one letter; two relators that share a form share it from then
+#   on, and a collision keeps the lower position whenever it happens.  So
+#   the pins, the surviving positions and the killed generators are those
+#   of the one-at-a-time run, and normal forms are computed once per batch.
+# - The rotation a relator is stored in does depend on the order, because
+#   cyclic reduction keeps the point where the word starts (see _Ring).
+#   The batch therefore kills in the one-at-a-time order, highest generator
+#   first, and reduces each touched relator after every kill.
+# - Each kill counts as one pass, and a batch stops after as many kills as
+#   the budget has passes left, so a budget that ends inside a batch leaves
+#   the state after exactly that many one-at-a-time kills.
 
 
 @dataclass
@@ -235,11 +258,18 @@ class _TietzeState:
             self.occurs[g].discard(ri)
         return w
 
-    def eliminate_pinned(self) -> bool:
-        """Eliminate the generator of the least pin key, if any relator pins one."""
+    def eliminate_pinned(self, limit: int) -> int:
+        """Eliminate pinned generators, at most ``limit``; return how many.
+
+        While the least pin key is a one-letter relator this is
+        :meth:`_kill_letters`; otherwise it eliminates the generator of the
+        least pin key alone.
+        """
         if not self.pins:
-            return False
-        _, neg_gen, ri = min(self.pins.values())
+            return 0
+        length, neg_gen, ri = min(self.pins.values())
+        if length == 1:
+            return self._kill_letters(limit)
         gen = -neg_gen
         r = self._detach(ri)
         pos = next(i for i, (g, _) in enumerate(r.syllables) if g == gen)
@@ -257,7 +287,46 @@ class _TietzeState:
                     pieces.extend((replacement if e > 0 else inverse).syllables * abs(e))
             self._settle(i, Word(pieces))
         self.replacements.append((gen, replacement))
-        return True
+        return 1
+
+    def _kill_letters(self, limit: int) -> int:
+        """Kill up to ``limit`` generators that one-letter relators pin, in
+        one batch, and return how many.
+
+        A relator that the kills shrink to one letter adds its generator to
+        the batch.  The kills run in the order that one-at-a-time
+        elimination takes (highest generator first), and every relator
+        they touch is reduced after each kill as that elimination would
+        leave it (see :class:`_Ring`).  Only the normal forms, pin keys and
+        duplicate checks, which do not depend on the order, wait for the
+        end of the batch.
+        """
+        pending = [neg_gen for length, neg_gen, _ in self.pins.values() if length == 1]
+        heapq.heapify(pending)
+        queued = set(pending)
+        rings: dict[int, _Ring] = {}
+        kills = 0
+        while pending and kills < limit:
+            gen = -heapq.heappop(pending)
+            kills += 1
+            self.replacements.append((gen, Word()))
+            # occurs still indexes the words from before the batch, and a
+            # ring only loses generators
+            for ri in self.occurs[gen]:
+                ring = rings.get(ri)
+                if ring is None:
+                    ring = rings[ri] = _Ring(self.words[ri])
+                letter = ring.kill(gen)
+                if letter and -letter not in queued:
+                    queued.add(-letter)
+                    heapq.heappush(pending, -letter)
+        # a ring may now have the old normal form of another ring, so all
+        # leave the state before any comes back
+        for ri in rings:
+            self._detach(ri)
+        for ri in sorted(rings):
+            self._settle(ri, rings[ri].word())
+        return kills
 
     def rewrite(self) -> bool:
         """Shorten one relator by another (see :func:`_rewrite_pass`)."""
@@ -288,6 +357,78 @@ class _TietzeState:
             passes=passes,
             budget_exhausted=exhausted,
         )
+
+
+class _Ring:
+    """A cyclically reduced relator as a ring of syllables closed by a cut
+    node at the point where its word starts.
+
+    Killing a generator unlinks its syllables, freely reduces where they
+    were, then cyclically reduces across the cut: exactly what cutting the
+    letters out of the word, freely reducing and calling
+    :func:`cyclic_reduce` do, at a cost of the syllables touched rather
+    than the length.  That reduction keeps the cut: it starts the word at
+    a syllable merged across it.  So which rotation a relator ends up in
+    depends on the order of the kills (``b^-1 a^2 b^2 x b y`` with y then
+    x killed gives ``a^2 b^2``, with both cut at once ``b^2 a^2``), and a
+    batch must kill in the one-at-a-time order, reducing after each kill.
+    """
+
+    __slots__ = ("gen", "exp", "prv", "nxt", "at", "size")
+
+    def __init__(self, w: Word):
+        n = self.size = len(w.syllables)
+        # node n is the cut; a dead node gets generator 0
+        self.gen = [g for g, _ in w.syllables] + [0]
+        self.exp = [e for _, e in w.syllables] + [0]
+        self.prv = [n, *range(n)]
+        self.nxt = [*range(1, n + 1), 0]
+        self.at: dict[int, list[int]] = {}
+        for i in range(n):
+            self.at.setdefault(self.gen[i], []).append(i)
+
+    def _unlink(self, i: int) -> tuple[int, int]:
+        p, q = self.prv[i], self.nxt[i]
+        self.nxt[p], self.prv[q] = q, p
+        self.gen[i] = 0
+        self.size -= 1
+        return p, q
+
+    def kill(self, g: int) -> int:
+        """Set generator g to 1; return h when the ring is left as h^+-1."""
+        gen, exp, cut = self.gen, self.exp, len(self.gen) - 1
+        for i in self.at.pop(g, ()):
+            if gen[i] != g:
+                continue
+            a, b = self._unlink(i)
+            while a != cut and b != cut and gen[a] == gen[b]:
+                s = exp[a] + exp[b]
+                self._unlink(b)
+                if s:
+                    exp[a] = s
+                    break
+                a, b = self._unlink(a)
+        while True:
+            x, y = self.prv[cut], self.nxt[cut]
+            if x == y or gen[x] != gen[y]:
+                break
+            s = exp[x] + exp[y]
+            self._unlink(x)
+            if s:
+                exp[y] = s
+                break
+            self._unlink(y)
+        first = self.nxt[cut]
+        return gen[first] if self.size == 1 and abs(exp[first]) == 1 else 0
+
+    def word(self) -> Word:
+        out = []
+        cut = len(self.nxt) - 1
+        i = self.nxt[cut]
+        while i != cut:
+            out.append((self.gen[i], self.exp[i]))
+            i = self.nxt[i]
+        return Word(out)
 
 
 # The rewrite pass spells each relator as a str, one code point per signed
@@ -361,6 +502,12 @@ def tietze_simplify(p: Presentation, budget: int = DEFAULT_BUDGET,
     identity relators, removal of relators that duplicate another up to
     rotation or inversion, elimination of pinned generators, and (when
     ``rewrite`` is set) shortening of a relator by another one.
+
+    A pass is one eliminated generator, one rewrite, or the last look that
+    finds nothing to do.  Generators pinned by one-letter relators are
+    killed in batches, with the result and pass count of killing them one
+    pass at a time, and a batch never runs past the budget (see the notes
+    above :class:`TietzeResult`).
     """
     if budget < 1:
         raise ValueError("budget must be positive")
@@ -371,9 +518,11 @@ def tietze_simplify(p: Presentation, budget: int = DEFAULT_BUDGET,
         if passes >= budget:
             exhausted = True
             break
-        passes += 1
-        if state.eliminate_pinned():
+        eliminated = state.eliminate_pinned(budget - passes)
+        if eliminated:
+            passes += eliminated
             continue
+        passes += 1
         if rewrite and state.rewrite():
             continue
         break
