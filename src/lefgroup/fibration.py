@@ -22,7 +22,7 @@ import json
 import warnings
 from dataclasses import dataclass
 
-from .presentations import DEFAULT_BUDGET, Presentation, TietzeResult, tietze_simplify
+from .presentations import Presentation, TietzeResult, tietze_simplify
 from .relator_curves import RelatorCurve, a_image, relator_curve
 from .surface import SurfaceGroup
 from .words import Word, cyclic_reduce, format_word, parse_word, syllable_length
@@ -149,7 +149,7 @@ class PlanQuotient:
     simplification: TietzeResult
 
 
-def fundamental_group(plan: FibrationPlan, budget: int = DEFAULT_BUDGET) -> PlanQuotient:
+def fundamental_group(plan: FibrationPlan) -> PlanQuotient:
     """Surface group modulo the kill list, Tietze-simplified.
 
     Simplification uses generator elimination only; relators surviving it
@@ -157,7 +157,7 @@ def fundamental_group(plan: FibrationPlan, budget: int = DEFAULT_BUDGET) -> Plan
     """
     names, (relator,) = plan.surface.presentation_tuple()
     raw = Presentation(names, (relator,) + plan.kill_list)
-    result = tietze_simplify(raw, budget=budget, rewrite=False)
+    result = tietze_simplify(raw, rewrite=False)
     return PlanQuotient(presentation=result.presentation, raw=raw,
                         simplification=result)
 

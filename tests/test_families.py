@@ -1,4 +1,3 @@
-import math
 import random
 import warnings
 
@@ -12,8 +11,6 @@ from lefgroup.families import (
     family_spec,
     genus_bounds,
     reduce_mod_torsion,
-    torus_bundle_invariants,
-    torus_bundle_presentation,
     verify_braid_relators,
     verify_hyperelliptic_identities,
     verify_symmetric_relators,
@@ -202,19 +199,3 @@ def test_abelian_interim_plan_is_free_abelian():
     _, quotient = abelian_group_plan(4, 0)
     assert abelianization(quotient.presentation) == AbelianInvariants(4, ())
     assert quotient.presentation.rank == 4
-
-
-def test_torus_bundle_invariants():
-    assert torus_bundle_invariants(0, 0) == AbelianInvariants(2, ())
-    assert torus_bundle_invariants(1, 0) == AbelianInvariants(1, ())
-    assert torus_bundle_invariants(6, 4) == AbelianInvariants(1, (2,))
-    rng = random.Random(4)
-    for _ in range(50):
-        n, m = rng.randint(-9, 9), rng.randint(-9, 9)
-        direct = abelianization(torus_bundle_presentation(n, m))
-        assert torus_bundle_invariants(n, m) == direct, (n, m)
-
-
-def test_torus_bundle_gcd_convention():
-    assert math.gcd(0, 0) == 0  # the convention the table relies on
-    assert torus_bundle_invariants(0, 5) == AbelianInvariants(1, (5,))

@@ -1,9 +1,12 @@
+import itertools
+import math
 import random
 
+from integer_oracles import det, matmul
 from sympy import Matrix
 from sympy.matrices.normalforms import invariant_factors
 
-from lefgroup.snf import det, matmul, smith_normal_form
+from lefgroup.snf import smith_normal_form
 
 
 def check_decomposition(matrix):
@@ -66,3 +69,38 @@ def test_large_entries_exact():
     big = 10**30
     result = check_decomposition([[big, 0], [0, big * 3]])
     assert result.diagonal == (big, 3 * big)
+
+
+def determinantal_diagonal(matrix):
+    """s_k = d_k / d_(k-1), with d_k the gcd of the k x k minors (d_0 = 1)."""
+    rows, cols = len(matrix), len(matrix[0])
+    diagonal, previous = [], 1
+    for k in range(1, min(rows, cols) + 1):
+        d = 0
+        for rs in itertools.combinations(range(rows), k):
+            for cs in itertools.combinations(range(cols), k):
+                d = math.gcd(d, det([[matrix[r][c] for c in cs] for r in rs]))
+        diagonal.append(d // previous if d else 0)
+        previous = d
+    return tuple(diagonal)
+
+
+def _random_small_matrix(rng):
+    rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+    m = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+    if rows >= 2 and rng.random() < 0.4:
+        # one row a combination of two others, so the rank drops
+        i, j, k = (rng.randrange(rows) for _ in range(3))
+        a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+        m[i] = [a * x + b * y for x, y in zip(m[j], m[k])]
+    return m
+
+
+def test_diagonal_matches_determinantal_divisors():
+    fixed = [[[2, 0], [0, 3]], [[0, 0, 0], [0, 0, 0]], [[4], [6], [10]],
+             [[2, 4, 6], [1, 2, 3]], [[0, 0], [0, 5]]]
+    rng = random.Random(25)
+    matrices = fixed + [_random_small_matrix(rng) for _ in range(300)]
+    assert any(determinantal_diagonal(m)[-1] == 0 for m in matrices)
+    for m in matrices:
+        assert smith_normal_form(m).diagonal == determinantal_diagonal(m), m

@@ -1,8 +1,8 @@
 import random
 
 import pytest
+from integer_oracles import matmul
 
-from lefgroup.snf import matmul
 from lefgroup.surface import SurfaceGroup, verify_homology_triviality
 from lefgroup.words import Word, exponent_sums
 
