@@ -13,6 +13,7 @@ twist about a curve of class c acts on them as x -> x + <x, c> c.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .words import Word, exponent_sums
 
@@ -157,29 +158,50 @@ def verify_homology_triviality(genus: int, cycles: list[Word] | None = None) -> 
     """Certify that the trivial monodromy word acts trivially on homology.
 
     The product P = T_1 .. T_n of the twists about the listed centers is
-    built column by column: column j is the basis class e_j pushed through
-    the twists from the last center to the first.  P must preserve the
-    intersection form, <P e_i, P e_j> = <e_i, e_j>, and is compared with
-    the identity exactly.  ``product`` holds P row by row.  Pass ``cycles``
-    to check a mutated list instead of the standard one.
+    built row by row, starting from the identity.  Each twist, from the last
+    center to the first, acts on every column of P at once: with
+    Jc = (c_b, -c_a), so that <x, c> = x . Jc, the row vector v = (Jc)^T P
+    holds <x, c> for every column x, and row i gains c_i v.  ``product``
+    holds P row by row, and P is compared with the identity exactly.
+
+    P must also preserve the intersection form, <P e_i, P e_j> =
+    <e_i, e_j>.  That check runs only when P is not the identity: for
+    P = I both sides are the same pairing of the same classes, so it cannot
+    fail.  Pass ``cycles`` to check a mutated list instead of the standard
+    one.
     """
     surface = SurfaceGroup(genus)
     if cycles is None:
         cycles = surface.monodromy_cycles()
     classes = tuple(surface.homology_class(w) for w in cycles)
     n = 2 * genus
-    basis = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    columns = []
-    for x in basis:
-        for c in reversed(classes):
-            x = surface.twist(x, c)
-        columns.append(x)
-    if any(surface.intersection(columns[i], columns[j]) != surface.intersection(basis[i], basis[j])
-           for i in range(n) for j in range(i + 1, n)):
-        raise AssertionError("the twist product failed the symplectic check")
+    basis = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+    rows = [list(e) for e in basis]
+    for c in reversed(classes):
+        jc = c[genus:] + tuple(-ci for ci in c[:genus])
+        # v is read off the rows as they were before this twist; the
+        # updates below build new lists, so a row that v aliases stays put
+        v = None
+        for k, row in zip(jc, rows):
+            if k:
+                term = row if k == 1 else list(map(k.__mul__, row))
+                v = term if v is None else list(map(add, v, term))
+        if v is None:
+            continue
+        for i, k in enumerate(c):
+            if k:
+                rows[i] = list(map(add, rows[i], v if k == 1 else map(k.__mul__, v)))
+    product = tuple(map(tuple, rows))
+    ok = product == basis
+    if not ok:
+        columns = list(zip(*product))
+        if any(surface.intersection(columns[i], columns[j])
+               != surface.intersection(basis[i], basis[j])
+               for i in range(n) for j in range(i + 1, n)):
+            raise AssertionError("the twist product failed the symplectic check")
     return HomologyCertificate(
         genus=genus,
-        ok=columns == basis,
+        ok=ok,
         cycle_classes=classes,
-        product=tuple(zip(*columns)),
+        product=product,
     )

@@ -2,7 +2,12 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
+from presentation_strategies import (
+    ROUND_TRIP_BATTERY,
+    assert_same_invariants,
+    small_presentations,
+)
 
 from lefgroup import battery, families
 from lefgroup.battery import BATTERY_MAX_COSETS, invariant_vector, parse_battery
@@ -125,29 +130,10 @@ def test_invariant_vector_skips_enumeration_when_h1_is_infinite(monkeypatch, p):
     assert vector.to_dict()["coset_order"] == "inconclusive"
 
 
-@st.composite
-def small_presentations(draw):
-    rank = draw(st.integers(1, 3))
-    syllable = st.tuples(st.integers(1, rank),
-                         st.integers(-3, 3).filter(lambda e: e != 0))
-    relators = draw(st.lists(st.lists(syllable, min_size=1, max_size=5), max_size=4))
-    names = tuple(f"x{i}" for i in range(1, rank + 1))
-    return Presentation(names, tuple(Word(r) for r in relators))
-
-
-ROUND_TRIP_BATTERY = parse_battery("s3,z2..z4")
-
-
 @settings(derandomize=True, deadline=None)
 @given(small_presentations())
 def test_tietze_simplify_keeps_invariant_vector(p):
     before = invariant_vector(p, ROUND_TRIP_BATTERY, max_cosets=200)
     after = invariant_vector(tietze_simplify(p).presentation, ROUND_TRIP_BATTERY,
                              max_cosets=200)
-    assert after.abelian == before.abelian
-    # a skipped hom count or an enumeration that did not close says nothing
-    for (name, a), (other, b) in zip(before.hom_counts, after.hom_counts):
-        assert name == other
-        assert a is None or b is None or a == b, name
-    assert (before.coset_order is None or after.coset_order is None
-            or before.coset_order == after.coset_order)
+    assert_same_invariants(before, after)

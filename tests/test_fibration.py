@@ -2,8 +2,15 @@ import random
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from presentation_strategies import (
+    ROUND_TRIP_BATTERY,
+    assert_same_invariants,
+    small_presentations,
+)
 
 from lefgroup import fibration as fib
+from lefgroup.battery import invariant_vector
 from lefgroup.finite_groups import default_battery, hom_count
 from lefgroup.presentations import (
     AbelianInvariants,
@@ -248,3 +255,12 @@ def test_realized_presentation_matches_simplified_source_battery():
     source = tietze_simplify(p).presentation
     for table in default_battery():
         assert hom_count(r.presentation, table) == hom_count(source, table)
+
+
+@settings(derandomize=True, deadline=None)
+@given(small_presentations())
+def test_realize_group_keeps_invariant_vector(p):
+    before = invariant_vector(p, ROUND_TRIP_BATTERY, max_cosets=200)
+    after = invariant_vector(fib.realize_group(p).presentation, ROUND_TRIP_BATTERY,
+                             max_cosets=200)
+    assert_same_invariants(before, after)

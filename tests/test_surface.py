@@ -3,7 +3,7 @@ import random
 import pytest
 from integer_oracles import matmul
 
-from lefgroup.surface import SurfaceGroup, verify_homology_triviality
+from lefgroup.surface import HomologyCertificate, SurfaceGroup, verify_homology_triviality
 from lefgroup.words import Word, exponent_sums
 
 
@@ -131,6 +131,56 @@ def test_homology_product_matches_matrix_product():
             cert = verify_homology_triviality(g, cycles)
             assert cert.product == tuple(tuple(row) for row in product), g
             assert cert.ok == (cert.product == tuple(_basis(g)))
+
+
+def reference_homology_certificate(genus, cycles):
+    """The certificate built column by column: each basis class pushed
+    through the twists one at a time, from the last center to the first."""
+    s = SurfaceGroup(genus)
+    classes = tuple(s.homology_class(w) for w in cycles)
+    basis = _basis(genus)
+    columns = []
+    for x in basis:
+        for c in reversed(classes):
+            x = s.twist(x, c)
+        columns.append(x)
+    return HomologyCertificate(genus=genus, ok=columns == basis, cycle_classes=classes,
+                               product=tuple(zip(*columns)))
+
+
+def _certificate_inputs(g):
+    """The standard list of twist centers and six mutations of it, plus
+    seeded random handle words, whose classes have negative coefficients,
+    as no standard curve's class does."""
+    standard = SurfaceGroup(g).monodromy_cycles()
+    rng = random.Random(g)
+    shuffled = [rng.sample(standard, len(standard)) for _ in range(2)]
+    handle_words = [Word([(rng.randint(1, 2 * g), rng.choice((-3, -1, 2)))
+                          for _ in range(3)]) for _ in range(6)]
+    return [standard, standard[1:], standard[:-1], *shuffled, standard[:2] + standard,
+            standard[::-1], handle_words]
+
+
+def test_homology_certificate_matches_column_reference():
+    for g in range(1, 25):
+        for cycles in _certificate_inputs(g):
+            assert repr(verify_homology_triviality(g, cycles)) == repr(
+                reference_homology_certificate(g, cycles)), g
+
+
+def test_symplectic_check_fires_only_on_a_product_that_is_not_identity(monkeypatch):
+    def one_handle_short(self, x, y):
+        # an off-by-one loop bound: the last handle's pairing is dropped
+        g = self.genus
+        return sum(x[i] * y[g + i] - x[g + i] * y[i] for i in range(g - 1))
+
+    monkeypatch.setattr(SurfaceGroup, "intersection", one_handle_short)
+    mutated = SurfaceGroup(3).monodromy_cycles()[:-1]
+    with pytest.raises(AssertionError, match="symplectic check"):
+        verify_homology_triviality(3, mutated)
+    # the product is built without the pairing, and P = I passes the
+    # check under any pairing, so the check is not run
+    assert verify_homology_triviality(3).ok
 
 
 def test_homology_certificate_identity():
